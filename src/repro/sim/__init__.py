@@ -2,10 +2,13 @@
 
 * :mod:`repro.sim.fluid` — scalar max-min fair fluid model (the
   reference implementation);
-* :mod:`repro.sim.fluid_vec` — vectorized batch fluid engine (the
-  default sweep workhorse; same allocation, struct-of-arrays + CSR);
+* :mod:`repro.sim.fluid_inc` — the vectorized fluid engine (same
+  allocation, struct-of-arrays), registered in two modes: ``fluid-vec``
+  refills every active flow per event epoch (the default sweep
+  workhorse), ``fluid-vec-inc`` refills only the affected component;
 * :mod:`repro.sim.engines` — the engine registry every backend
-  selection resolves through (``fluid`` / ``fluid-vec`` / ``replay``);
+  selection resolves through (``fluid`` / ``fluid-vec`` /
+  ``fluid-vec-inc`` / ``replay``);
 * :mod:`repro.sim.venus` — flit-level event-driven engine (the Venus
   substitute; used for validation and latency-sensitive studies);
 * :mod:`repro.sim.network` — the link-space glue and the Full-Crossbar
@@ -28,7 +31,6 @@ from .engines import (
 from .events import EventQueue
 from .fluid import FlowResult, FluidSimulator
 from .fluid_inc import IncFluidSimulator
-from .fluid_vec import VecFluidSimulator
 from .network import (
     LinkSpace,
     PhaseResult,
@@ -47,7 +49,6 @@ __all__ = [
     "EventQueue",
     "FluidSimulator",
     "IncFluidSimulator",
-    "VecFluidSimulator",
     "FlowResult",
     "DEFAULT_ENGINE",
     "ENGINES",

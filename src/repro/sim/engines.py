@@ -22,8 +22,11 @@ Two engine *kinds* exist:
   a simulator over ``(num_links, capacity)`` exposing the
   :class:`repro.sim.fluid.FluidSimulator` surface (``add_flows`` /
   ``run_until_idle`` / ``results`` ...).  Built-ins: ``fluid`` (the
-  scalar reference implementation) and ``fluid-vec`` (the vectorized
-  batch engine, the default — see ``docs/performance.md``).
+  scalar reference implementation) and the one vectorized engine,
+  :class:`repro.sim.fluid_inc.IncFluidSimulator`, under two names that
+  fix its mode: ``fluid-vec`` (a full refill per event epoch, the
+  default) and ``fluid-vec-inc`` (component-local refills) — see
+  ``docs/performance.md``.
 * ``"replay"`` — the Dimemas-substitute trace replay; it drives whole
   patterns causally and has no per-phase simulator factory.
 """
@@ -31,12 +34,12 @@ Two engine *kinds* exist:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from ..registry import Registry
 from .fluid import FluidSimulator
 from .fluid_inc import IncFluidSimulator
-from .fluid_vec import VecFluidSimulator
 
 __all__ = [
     "DEFAULT_ENGINE",
@@ -57,6 +60,9 @@ ENGINES: Registry = Registry("engine")
 #: the default: the equivalence suite (property + golden + Venus
 #: cross-validation) proves it computes the scalar engine's allocation,
 #: and ``BENCH_fluid.json`` its order-of-magnitude speedups at scale.
+#: It stays in full-refill mode because the paper's static phases pay
+#: for the incremental mode's per-flow bookkeeping without winning it
+#: back (measured in ``docs/performance.md``).
 DEFAULT_ENGINE = "fluid-vec"
 
 
@@ -129,8 +135,8 @@ register_engine(
     Engine(
         name="fluid-vec",
         kind="fluid",
-        factory=VecFluidSimulator,
-        description="vectorized batch max-min fluid engine (default)",
+        factory=partial(IncFluidSimulator, incremental=False),
+        description="vectorized max-min fluid engine, full refill per epoch (default)",
     )
 )
 register_engine(

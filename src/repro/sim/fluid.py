@@ -21,8 +21,8 @@ at 750 KB messages; the flit-level engine models latency).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Container, Sequence
 
 import numpy as np
 
@@ -46,6 +46,52 @@ class FlowResult:
     @property
     def duration(self) -> float:
         return self.finish - self.start
+
+
+def _check_batch(
+    flow_ids: Sequence[int] | np.ndarray,
+    sizes: Sequence[float] | np.ndarray,
+    coo_flow: Sequence[int] | np.ndarray,
+    coo_link: Sequence[int] | np.ndarray,
+    num_links: int,
+    active: Container[int],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Validate an ``add_flows`` batch: the contract every fluid engine enforces.
+
+    ``flow_ids`` and ``sizes`` are parallel; ``coo_flow[k]`` indexes into
+    ``flow_ids`` (0-based within the batch) and ``coo_link[k]`` is a
+    link that flow traverses, entries in any order.  Flow ids are unique
+    within the batch and not in ``active`` (zero-size flows included),
+    sizes are non-negative, links are in range and every flow
+    traverses at least one.  Returns the batch as int64/float64 arrays
+    plus the per-flow entry counts.
+    """
+    flow_ids = np.asarray(flow_ids, dtype=np.int64)
+    sizes = np.asarray(sizes, dtype=np.float64)
+    coo_flow = np.asarray(coo_flow, dtype=np.int64)
+    coo_link = np.asarray(coo_link, dtype=np.int64)
+    if flow_ids.ndim != 1 or sizes.shape != flow_ids.shape:
+        raise ValueError("flow_ids and sizes must be parallel 1-d arrays")
+    if coo_flow.shape != coo_link.shape:
+        raise ValueError("coo_flow and coo_link must be parallel 1-d arrays")
+    if (sizes < 0).any():
+        raise ValueError("flow size must be non-negative")
+    if len(np.unique(flow_ids)) != len(flow_ids):
+        raise ValueError("duplicate flow ids within the batch")
+    for fid in flow_ids.tolist():
+        if fid in active:
+            raise ValueError(f"flow id {fid} already active")
+    if len(coo_link) and (coo_link.min() < 0 or coo_link.max() >= num_links):
+        bad = coo_link[(coo_link < 0) | (coo_link >= num_links)][0]
+        raise ValueError(f"link {int(bad)} out of range")
+    if len(coo_flow) and (coo_flow.min() < 0 or coo_flow.max() >= len(flow_ids)):
+        raise ValueError("coo_flow indexes outside the batch")
+    links_per_flow = np.bincount(coo_flow, minlength=len(flow_ids))
+    # zero-*size* flows complete instantly, but every flow still needs a
+    # route; zero-*link* flows are a caller bug either way
+    if (links_per_flow == 0).any():
+        raise ValueError("a flow must traverse at least one link")
+    return flow_ids, sizes, coo_flow, coo_link, links_per_flow
 
 
 class _ActiveFlow:
@@ -141,20 +187,18 @@ class FluidSimulator:
     ) -> None:
         """Batch :meth:`add_flow` from a COO incidence.
 
-        Same contract as :meth:`VecFluidSimulator.add_flows
-        <repro.sim.fluid_vec.VecFluidSimulator.add_flows>`: ``coo_flow``
-        indexes into ``flow_ids`` and ``coo_link`` lists the traversed
-        links.  The scalar engine simply unpacks the batch.
+        The contract of every fluid engine (:func:`_check_batch`):
+        ``coo_flow`` indexes into ``flow_ids`` and ``coo_link`` lists the
+        traversed links.  The scalar engine then simply unpacks the
+        batch, keeping each flow's links in COO order.
         """
-        coo_flow = np.asarray(coo_flow, dtype=np.int64)
-        coo_link = np.asarray(coo_link, dtype=np.int64)
-        if len(coo_flow) and (coo_flow.min() < 0 or coo_flow.max() >= len(flow_ids)):
-            raise ValueError("coo_flow indexes outside the batch")
-        per_flow: list[list[int]] = [[] for _ in range(len(flow_ids))]
-        for f, l in zip(coo_flow.tolist(), coo_link.tolist()):
-            per_flow[f].append(l)
-        for fid, size, links in zip(flow_ids, sizes, per_flow):
-            self.add_flow(int(fid), links, float(size))
+        flow_ids, sizes, coo_flow, coo_link, links_per_flow = _check_batch(
+            flow_ids, sizes, coo_flow, coo_link, self.num_links, self._flows
+        )
+        order = np.argsort(coo_flow, kind="stable")
+        per_flow = np.split(coo_link[order], np.cumsum(links_per_flow)[:-1])
+        for fid, size, links in zip(flow_ids.tolist(), sizes.tolist(), per_flow):
+            self.add_flow(fid, links.tolist(), size)
 
     @property
     def active_flows(self) -> int:

@@ -1,16 +1,47 @@
-"""Incremental max-min fluid engine (component-local progressive filling).
+"""The vectorized max-min fluid engine, in two modes.
 
 :class:`IncFluidSimulator` computes the same max-min fair allocation as
-the scalar :class:`repro.sim.fluid.FluidSimulator` and the vectorized
-:class:`repro.sim.fluid_vec.VecFluidSimulator`, but treats each
-arrival/completion batch as a *local* perturbation: instead of
-re-running progressive filling over the whole active set, it identifies
-the **bottleneck dependency component** of the event — the links whose
-frozen water level can actually move — refills only the flows inside
-it, and reuses the frozen levels everywhere else.
+the scalar reference :class:`repro.sim.fluid.FluidSimulator` (the
+allocation is unique, so the engines agree up to floating-point noise)
+but keeps the active flows as parallel numpy arrays and each flow's
+links as a row of a dense ``(slots, W)`` *link matrix* (W = the longest
+path, ``2h + 2`` links on an XGFT: tree hops plus the two adapter
+links), padded with the virtual link ``num_links``, so every per-flow
+reduction is a row operation instead of a ragged segment reduction.
 
-The machinery rests on the classic bottleneck characterization of
-max-min fairness: an allocation is *the* (unique) max-min allocation
+One fill kernel, :meth:`IncFluidSimulator._fill_subset`, runs
+progressive filling in *parallel rounds*: instead of freezing one
+bottleneck level per round (which degenerates to one link at a time at
+cluster scale), every round freezes every **locally minimal** link — a
+link freezes at its current fair share iff no unfrozen user of it has a
+strictly smaller share on another link.  This is exact because shares
+never decrease during progressive filling: removing users at or below a
+link's fair share cannot lower it, so a locally minimal link's user set
+is stable until it saturates, and sequential filling would freeze the
+same flows at the same level.  Rounds therefore track the *dependency
+depth* of the bottleneck structure (tens) rather than the number of
+distinct water levels (thousands).  Frozen rows are compacted away once
+they are half the working set, so per-round cost follows the shrinking
+unfrozen set.
+
+The engine is registered under two names, and the name fixes the mode:
+
+* ``fluid-vec`` (``incremental=False``, the default engine): every
+  arrival batch or completion group triggers one **full refill** of all
+  active flows.  It keeps no per-link bookkeeping at all, which is what
+  makes it the fastest engine for the paper's static phases (every
+  flow starts at t=0 and most of them change rate at each completion),
+  and it never runs the closure or certificate code below — it is the
+  independent reference the incremental mode is tested against.
+* ``fluid-vec-inc`` (``incremental=True``): each event is treated as a
+  *local* perturbation.  Instead of re-running progressive filling over
+  the whole active set, it identifies the **bottleneck dependency
+  component** of the event — the links whose frozen water level can
+  actually move — refills only the flows inside it, and reuses the
+  frozen levels everywhere else.
+
+The incremental mode rests on the classic bottleneck characterization
+of max-min fairness: an allocation is *the* (unique) max-min allocation
 iff it is feasible and every flow has a **certificate link** on its
 path that is saturated and on which the flow's rate is maximal among
 the link's users.  The engine maintains, per link, the committed
@@ -25,9 +56,9 @@ fixpoint closure of the event's seed links:
 2. *Closure*: a flow joins the component iff it crosses a component
    link ``l`` at that link's level (``rate >= W(l) - eps``); a joining
    flow contributes all its links.  Iterate to a fixpoint.
-3. *Local fill*: run the parallel progressive-filling kernel over the
-   inside flows only, against residual capacities (the outside users of
-   component links are fixed background consumption).
+3. *Local fill*: run the fill kernel over the inside flows only, against
+   residual capacities (the outside users of component links are fixed
+   background consumption).
 4. *Verify*: recompute saturation and max-user levels on the component
    links (background included) and check the bottleneck certificate of
    every refilled flow.  Certificates of *outside* flows hold
@@ -36,44 +67,44 @@ fixpoint closure of the event's seed links:
    would have joined), so no inside flow crosses it and its balance is
    untouched.
 5. *Commit, expand, or fall back*: on success, write the new rates and
-   water levels (restamping only the flows whose rate actually moved —
-   unchanged flows keep their live completion-heap entry).  A
-   certificate failure means a *background* flow ended up above the
-   component's new level on some shared link — the event lowered a
-   water level below a bystander the one-sided at-level closure could
-   not see coming.  Those blockers are identified exactly (outside
-   users above the inside maximum on a failed flow's link), pulled into
-   the component, and the closure/fill retried, up to
+   water levels.  A certificate failure means a *background* flow ended
+   up above the component's new level on some shared link — the event
+   lowered a water level below a bystander the one-sided at-level
+   closure could not see coming.  Those blockers are identified exactly
+   (outside users above the inside maximum on a failed flow's link),
+   pulled into the component, and the closure/fill retried, up to
    ``_MAX_EXPANSIONS`` rounds.  Only when expansion is exhausted or the
    component grows past the budget does the engine fall back to a full
    from-scratch refill — the exactness escape hatch.
 
-Flow bytes drain **lazily**: a flow's remaining volume is materialized
-only when its rate changes or it completes, and completions pop from a
-generation-stamped lazy heap — so an event that refills a 50-link
-component does O(component) work even with 10^5 concurrent flows.
+In both modes flow bytes drain **lazily**: a flow's remaining volume is
+materialized only when its rate changes or it completes, a commit
+restamps only the flows whose rate actually moved, and completions pop
+from a generation-stamped lazy heap — so an incremental event that
+refills a 50-link component does O(component) work even with 10^5
+concurrent flows.
 
-The public surface mirrors the other fluid engines (``add_flow`` /
-``add_flows`` / ``rates`` / ``advance_to`` /
-``advance_to_next_completion`` / ``run_until_idle`` / ``results`` /
-``telemetry``); it is registered as ``fluid-vec-inc``.  Telemetry adds
-``partial_refills`` / ``full_refills`` / ``cert_fallbacks``,
-cumulative ``links_touched`` / ``flows_touched`` (work actually done)
-against ``links_active`` / ``flows_active`` (what full refills would
-have done), and ``component_size_hwm`` — see ``docs/performance.md``
-for the algorithm, the exactness argument and the telemetry contract.
+The public surface is the scalar engine's (``add_flow`` / ``rates`` /
+``advance_to`` / ``advance_to_next_completion`` / ``run_until_idle`` /
+``results`` / ``telemetry``) plus :meth:`IncFluidSimulator.add_flows`,
+a batch injection path that accepts a ready-made COO incidence so the
+phase driver (:func:`repro.sim.network.simulate_phase_fluid`) never
+materializes per-flow Python link lists.  See ``docs/performance.md``
+for the telemetry contract and the measured reason the default stays
+in full-refill mode.
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
 from ..obs import active as _obs_active
 from ..obs.trace import TRACER
-from .fluid import FlowResult, _EPS
+from .fluid import _EPS, FlowResult, _check_batch
 
 __all__ = ["IncFluidSimulator"]
 
@@ -100,16 +131,20 @@ _MAX_EXPANSIONS = 4
 
 
 class IncFluidSimulator:
-    """Incremental max-min fluid simulation over a fixed link set.
+    """Vectorized max-min fluid simulation over a fixed link set.
 
-    Drop-in replacement for the other fluid engines (same constructor,
-    same public methods, same semantics — including zero-size flows
+    Drop-in replacement for the scalar engine (same constructor, same
+    public methods, same semantics — including zero-size flows
     completing immediately at their start time), backed by
-    component-local refills, lazy byte draining and a generation-stamped
-    completion heap.
+    struct-of-arrays flow state, lazy byte draining and a
+    generation-stamped completion heap.  ``incremental`` selects
+    component-local refills (``fluid-vec-inc``) or a full refill per
+    epoch (``fluid-vec``); see the module docstring.
     """
 
-    def __init__(self, num_links: int, capacity: float | np.ndarray):
+    def __init__(
+        self, num_links: int, capacity: float | np.ndarray, *, incremental: bool = True
+    ):
         if num_links <= 0:
             raise ValueError("need at least one link")
         cap = np.asarray(capacity, dtype=np.float64)
@@ -121,11 +156,13 @@ class IncFluidSimulator:
             raise ValueError("capacities must be positive")
         self.capacity = cap
         self.num_links = num_links
+        self.incremental = incremental
         self.now = 0.0
         self._results: list[FlowResult] = []
-        self._obs_on = _obs_active()
 
-        # telemetry (see telemetry())
+        # telemetry (see telemetry()); _obs_on is captured at
+        # construction so the overhead gate can A/B with obs.deactivated()
+        self._obs_on = _obs_active()
         self.recomputes = 0
         self.fill_rounds = 0
         self.frozen_links = 0
@@ -146,7 +183,6 @@ class IncFluidSimulator:
         self._cap_slots = n0
         self._n = 0
         self._n_active = 0
-        self._nnz_active = 0
         self._fid = np.empty(n0, dtype=np.int64)
         self._size = np.empty(n0, dtype=np.float64)
         self._rem = np.empty(n0, dtype=np.float64)  # bytes at _sync
@@ -158,18 +194,23 @@ class IncFluidSimulator:
         self._id_to_slot: dict[int, int] = {}
         # per-slot link rows, padded with the virtual link num_links
         self._lm = np.full((n0, 1), num_links, dtype=np.int64)
+
+        # lazy completion heap: (finish, slot, gen, slack)
+        self._heap: list[tuple[float, int, int, float]] = []
+        # an arrival batch or completion group since the last refill
+        self._stale = False
+
+        if not incremental:
+            return
+        # partial-refill bookkeeping (incremental mode only):
         # per-slot python link tuples (fast closure scans)
         self._links: list[tuple[int, ...]] = []
-
+        self._nnz_active = 0
         # per-link state
         self._users: list[set[int]] = [set() for _ in range(num_links)]
         self._n_links_used = 0
         # committed water levels: max user rate if saturated, else +inf
         self._W = np.full(num_links, np.inf, dtype=np.float64)
-
-        # lazy completion heap: (finish, slot, gen, slack)
-        self._heap: list[tuple[float, int, int, float]] = []
-
         # dirty state accumulated since the last refill (the epoch)
         self._dirty_links: set[int] = set()
         self._dirty_slots: list[int] = []
@@ -196,38 +237,22 @@ class IncFluidSimulator:
     ) -> None:
         """Inject a batch of flows at the current time.
 
-        Same contract as :meth:`VecFluidSimulator.add_flows
-        <repro.sim.fluid_vec.VecFluidSimulator.add_flows>`.  The batch
-        joins the current epoch: however many batches and completion
-        groups land at one instant, the next rates query pays a single
-        (component-local when possible) refill.
+        ``coo_flow[k]`` indexes into ``flow_ids`` (0-based within this
+        batch) and ``coo_link[k]`` is the directed link that flow
+        traverses; entries may arrive in any order (the full contract is
+        the scalar engine's).  Zero-size flows complete immediately at
+        the current time.  The batch joins the current epoch: however
+        many batches and completion groups land at one instant, the next
+        rates query pays a single refill.
         """
-        flow_ids = np.asarray(flow_ids, dtype=np.int64)
-        sizes = np.asarray(sizes, dtype=np.float64)
-        coo_flow = np.asarray(coo_flow, dtype=np.int64)
-        coo_link = np.asarray(coo_link, dtype=np.int64)
-        if flow_ids.ndim != 1 or sizes.shape != flow_ids.shape:
-            raise ValueError("flow_ids and sizes must be parallel 1-d arrays")
-        if coo_flow.shape != coo_link.shape:
-            raise ValueError("coo_flow and coo_link must be parallel 1-d arrays")
+        flow_ids, sizes, coo_flow, coo_link, links_per_flow = _check_batch(
+            flow_ids, sizes, coo_flow, coo_link, self.num_links, self._id_to_slot
+        )
         if len(flow_ids) == 0:
             return
-        if (sizes < 0).any():
-            raise ValueError("flow size must be non-negative")
-        if len(np.unique(flow_ids)) != len(flow_ids):
-            raise ValueError("duplicate flow ids within the batch")
-        for fid in flow_ids.tolist():
-            if fid in self._id_to_slot:
-                raise ValueError(f"flow id {fid} already active")
-        if len(coo_link) and (coo_link.min() < 0 or coo_link.max() >= self.num_links):
-            bad = coo_link[(coo_link < 0) | (coo_link >= self.num_links)][0]
-            raise ValueError(f"link {int(bad)} out of range")
-        if len(coo_flow) and (coo_flow.min() < 0 or coo_flow.max() >= len(flow_ids)):
-            raise ValueError("coo_flow indexes outside the batch")
-        links_per_flow = np.bincount(coo_flow, minlength=len(flow_ids))
-        if (links_per_flow == 0).any():
-            raise ValueError("a flow must traverse at least one link")
-        # collapse repeated (flow, link) entries like the other engines
+        # a repeated (flow, link) entry would double-count the flow
+        # against that link's capacity; collapse it like the scalar
+        # engine (np.unique also leaves the entries flow-sorted)
         key = coo_flow * np.int64(self.num_links) + coo_link
         uniq = np.unique(key)
         coo_flow = uniq // self.num_links
@@ -249,6 +274,7 @@ class IncFluidSimulator:
         n_new = len(kept_ids)
 
         self.mutation_events += 1
+        self._stale = True
         base = self._n
         self._grow(n_new, int(links_per_flow.max()))
         sl = np.arange(base, base + n_new, dtype=np.int64)
@@ -261,17 +287,19 @@ class IncFluidSimulator:
         self._act[sl] = True
         self._n = base + n_new
         self._n_active += n_new
+        self._id_to_slot.update(zip(kept_ids, range(base, base + n_new)))
         # scatter link rows (entries are flow-sorted after np.unique)
         counts = np.bincount(e_f, minlength=n_new)
         starts = np.cumsum(counts) - counts
         cols = np.arange(len(e_f), dtype=np.int64) - np.repeat(starts, counts)
         self._lm[sl[e_f], cols] = e_l
-        bounds = np.cumsum(counts)[:-1]
+        if self._obs_on and self._n_active > self.active_flows_hwm:
+            self.active_flows_hwm = self._n_active
+        if not self.incremental:
+            return
         users = self._users
         dirty = self._dirty_links
-        for i, (fid, row) in enumerate(zip(kept_ids, np.split(e_l, bounds))):
-            s = base + i
-            self._id_to_slot[fid] = s
+        for s, row in enumerate(np.split(e_l, np.cumsum(counts)[:-1]), start=base):
             tup = tuple(row.tolist())
             self._links.append(tup)
             self._nnz_active += len(tup)
@@ -281,9 +309,7 @@ class IncFluidSimulator:
                     self._n_links_used += 1
                 u.add(s)
                 dirty.add(l)
-            self._dirty_slots.append(s)
-        if self._n_active > self.active_flows_hwm:
-            self.active_flows_hwm = self._n_active
+        self._dirty_slots.extend(range(base, base + n_new))
 
     def _grow(self, n_new: int, batch_width: int) -> None:
         """Make room for ``n_new`` slots and ``batch_width`` link columns."""
@@ -327,30 +353,31 @@ class IncFluidSimulator:
     # Refill orchestration
     # ------------------------------------------------------------------
     def _ensure_rates(self) -> None:
-        if self._dirty_links or self._dirty_slots:
+        if self._stale:
             self._refill()
 
     def _refill(self) -> None:
-        if self._n_active == 0:
+        self._stale = False
+        if self._n_active:
+            self.recomputes += 1
+            if self._obs_on and TRACER.enabled:
+                with TRACER.span("fluid.fill", flows=self._n_active) as span:
+                    span.set("mode", self._refill_inner())
+            else:
+                self._refill_inner()
+        elif self.incremental and self._dirty_links:
             # everything drained: the dirty links are empty, hence open
-            if self._dirty_links:
-                self._W[list(self._dirty_links)] = np.inf
+            self._W[list(self._dirty_links)] = np.inf
+        if self.incremental:
             self._dirty_links.clear()
             self._dirty_slots.clear()
-            return
-        self.recomputes += 1
-        self.links_active += self._n_links_used
-        self.flows_active += self._n_active
-        if self._obs_on and TRACER.enabled:
-            with TRACER.span("fluid.fill", flows=self._n_active) as span:
-                mode = self._refill_inner()
-                span.set("mode", mode)
-        else:
-            self._refill_inner()
-        self._dirty_links.clear()
-        self._dirty_slots.clear()
 
     def _refill_inner(self) -> str:
+        if not self.incremental:
+            self._full_refill()
+            return "full"
+        self.links_active += self._n_links_used
+        self.flows_active += self._n_active
         act = self._act
         comp_flows = {s for s in self._dirty_slots if act[s]}
         comp_links = set(self._dirty_links)
@@ -389,7 +416,6 @@ class IncFluidSimulator:
         if cert_failed:
             self.cert_fallbacks += 1
         self._full_refill()
-        self.full_refills += 1
         self.links_touched += self._n_links_used
         self.flows_touched += self._n_active
         return "full"
@@ -526,28 +552,33 @@ class IncFluidSimulator:
         return True
 
     def _full_refill(self) -> None:
+        """Fill every active flow from scratch (and, incrementally, audit
+        the water levels of every link)."""
         slots = np.nonzero(self._act[: self._n])[0]
         rates_new, e_f, e_l = self._fill_subset(slots, self.capacity.copy())
-        entry_rate = rates_new[e_f]
-        nl = self.num_links
-        cons = np.bincount(e_l, weights=entry_rate, minlength=nl)
-        maxu = np.zeros(nl, dtype=np.float64)
-        np.maximum.at(maxu, e_l, entry_rate)
-        counts = np.bincount(e_l, minlength=nl)
-        sat = (self.capacity - cons <= _SAT_REL * self.capacity) & (counts > 0)
-        self._W = np.where(sat, maxu, np.inf)
+        if self.incremental:
+            entry_rate = rates_new[e_f]
+            nl = self.num_links
+            cons = np.bincount(e_l, weights=entry_rate, minlength=nl)
+            maxu = np.zeros(nl, dtype=np.float64)
+            np.maximum.at(maxu, e_l, entry_rate)
+            counts = np.bincount(e_l, minlength=nl)
+            sat = (self.capacity - cons <= _SAT_REL * self.capacity) & (counts > 0)
+            self._W = np.where(sat, maxu, np.inf)
         self._commit(slots, rates_new)
+        self.full_refills += 1
 
     def _fill_subset(
         self, slots: np.ndarray, remaining_cap: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Parallel progressive filling of ``slots`` against ``remaining_cap``.
 
-        Same kernel as :meth:`VecFluidSimulator._fill_rates` (every
-        locally minimal link freezes per round — exact by share
-        monotonicity), restricted to a slot subset and an arbitrary
-        (residual) capacity vector.  Returns ``(rates, e_f, e_l)`` with
-        ``e_f`` indexing into ``slots``.
+        The engine's one fill kernel (every locally minimal link freezes
+        per round — exact by share monotonicity, see the module
+        docstring), over any slot subset and any (residual) capacity
+        vector, which it consumes in place.  Returns ``(rates, e_f,
+        e_l)``: the flow-link entries of ``slots``, ``e_f`` indexing
+        into ``slots``.
         """
         n_act = len(slots)
         num_links = self.num_links
@@ -576,13 +607,19 @@ class IncFluidSimulator:
         rounds = frozen_links = compactions = 0
         obs_on = self._obs_on
         while n_unfrozen:
+            # per-flow bottleneck: the minimal share over the flow's links
             m = shares_ext[lm].min(axis=1)
             m[~unfrozen] = inf
             mbuf[orig] = m
+            # a link freezes at its current share iff no unfrozen user
+            # has a strictly smaller bottleneck elsewhere; frozen flows
+            # carry an inf bottleneck and never block
             blocker = mbuf[e_f] < shares[e_l] - _EPS
             blocked[:] = False
-            blocked[num_links] = True
+            blocked[num_links] = True  # the pad link never freezes a flow
             blocked[e_l[blocker]] = True
+            # a flow freezes (at its bottleneck share) once any real
+            # link of its path is unblocked
             hit = ~blocked[lm].all(axis=1)
             hit &= unfrozen
             if not hit.any():  # pragma: no cover - defensive
@@ -596,6 +633,7 @@ class IncFluidSimulator:
             unfrozen_full[frozen_now] = False
             unfrozen &= ~hit
             n_unfrozen -= int(hit.sum())
+            # release the frozen flows' bandwidth from every link they use
             flat = lm[hit].ravel()
             weights = np.repeat(m[hit], lm.shape[1])
             real = flat < num_links
@@ -607,6 +645,9 @@ class IncFluidSimulator:
             np.maximum(remaining_cap, 0.0, out=remaining_cap)
             shares[:] = inf
             np.divide(remaining_cap, counts, out=shares, where=counts > 0.0)
+            # drop frozen rows and entries once they are half the
+            # working set: per-round cost then tracks the shrinking
+            # unfrozen set and total compaction cost stays O(nnz)
             if n_unfrozen and n_unfrozen <= last_compact // 2:
                 keep = unfrozen_full[e_f]
                 e_f, e_l = e_f[keep], e_l[keep]
@@ -630,6 +671,9 @@ class IncFluidSimulator:
         a refill that re-derives mostly-identical rates — a full refill
         after a local event, a component whose level did not shift —
         costs heap traffic proportional to the *change*, not the size.
+        When the change restamps at least half the active flows, the
+        heap is instead rebuilt from the arrays in one ``heapify``, which
+        also sheds its stale entries.
         """
         old = self._rate[slots]
         changed = rates_new != old
@@ -644,15 +688,37 @@ class IncFluidSimulator:
         self._sync[slots] = now
         self._rate[slots] = rates_new
         self._gen[slots] += 1
-        heap = self._heap
-        rem = self._rem
-        size = self._size
-        gen = self._gen
-        moving = rates_new > _EPS
-        for s, r in zip(slots[moving].tolist(), rates_new[moving].tolist()):
-            finish = now + rem[s] / r
-            slack = (_EPS * size[s] + _EPS) / r
-            heapq.heappush(heap, (finish, s, int(gen[s]), slack))
+        if 2 * len(slots) >= self._n_active:
+            self._rebuild_heap()
+        else:
+            heap = self._heap
+            rem = self._rem
+            size = self._size
+            gen = self._gen
+            moving = rates_new > _EPS
+            for s, r in zip(slots[moving].tolist(), rates_new[moving].tolist()):
+                finish = now + float(rem[s]) / r
+                slack = (_EPS * float(size[s]) + _EPS) / r
+                heapq.heappush(heap, (finish, s, int(gen[s]), slack))
+
+    def _rebuild_heap(self) -> None:
+        """Rebuild the completion heap from the arrays, without stale entries.
+
+        ``sync + rem / rate`` is the float ``now + rem / rate`` pushed at
+        a flow's last commit (``sync`` is that ``now``), so the rebuilt
+        heap pops exactly what the lazy one would have.
+        """
+        slots = np.nonzero(self._act[: self._n])[0]
+        rate = self._rate[slots]
+        moving = rate > _EPS
+        slots = slots[moving]
+        rate = rate[moving]
+        finish = self._sync[slots] + self._rem[slots] / rate
+        slack = (_EPS * self._size[slots] + _EPS) / rate
+        self._heap = list(
+            zip(finish.tolist(), slots.tolist(), self._gen[slots].tolist(), slack.tolist())
+        )
+        heapq.heapify(self._heap)
 
     # ------------------------------------------------------------------
     # Rates and telemetry
@@ -668,8 +734,13 @@ class IncFluidSimulator:
     def telemetry(self) -> dict:
         """Per-engine fill telemetry (all counters monotone).
 
-        Superset of the other engines' shape.  ``recomputes ==
-        partial_refills + full_refills``; ``links_touched`` /
+        The full-refill mode reports the scalar engine's shape — here
+        ``fill_rounds`` counts *parallel* rounds (the bottleneck
+        dependency depth) and ``compactions`` counts working-set
+        compactions; its ``full_refills`` attribute equals
+        ``recomputes``.  The incremental mode adds the refill split,
+        ``recomputes == partial_refills + full_refills``, and the
+        refill-work counters: ``links_touched`` /
         ``flows_touched`` accumulate the links/flows each refill
         actually processed, while ``links_active`` / ``flows_active``
         accumulate what a from-scratch refill would have processed at
@@ -680,12 +751,17 @@ class IncFluidSimulator:
         counts arrival batches + completion groups, so
         ``mutation_events - recomputes`` is the epoch-batching win.
         """
-        return {
+        tel = {
             "recomputes": self.recomputes,
             "fill_rounds": self.fill_rounds,
             "frozen_links": self.frozen_links,
             "compactions": self.compactions,
             "active_flows_hwm": self.active_flows_hwm,
+        }
+        if not self.incremental:
+            return tel
+        return {
+            **tel,
             "partial_refills": self.partial_refills,
             "full_refills": self.full_refills,
             "cert_fallbacks": self.cert_fallbacks,
@@ -764,28 +840,32 @@ class IncFluidSimulator:
         if not due:
             return []
         self.mutation_events += 1
-        due.sort(key=lambda s: int(self._fid[s]))  # scalar-engine order
-        users = self._users
-        dirty = self._dirty_links
-        results = []
-        for s in due:
-            fid = int(self._fid[s])
-            res = FlowResult(fid, float(self._start[s]), at, float(self._size[s]))
-            results.append(res)
-            self._results.append(res)
+        self._stale = True
+        slots = np.asarray(due, dtype=np.int64)
+        slots = slots[np.argsort(self._fid[slots])]  # scalar-engine order
+        fids = self._fid[slots].tolist()
+        starts = self._start[slots].tolist()
+        sizes = self._size[slots].tolist()
+        results = list(map(FlowResult, fids, starts, repeat(at), sizes))
+        self._results.extend(results)
+        for fid in fids:
             del self._id_to_slot[fid]
-            self._act[s] = False
-            self._gen[s] += 1
-            self._rem[s] = 0.0
-            tup = self._links[s]
-            self._nnz_active -= len(tup)
-            for l in tup:
-                u = users[l]
-                u.discard(s)
-                if not u:
-                    self._n_links_used -= 1
-                dirty.add(l)
+        self._act[slots] = False
+        self._gen[slots] += 1
+        self._rem[slots] = 0.0
         self._n_active -= len(due)
+        if self.incremental:
+            users = self._users
+            dirty = self._dirty_links
+            for s in slots.tolist():
+                tup = self._links[s]
+                self._nnz_active -= len(tup)
+                for l in tup:
+                    u = users[l]
+                    u.discard(s)
+                    if not u:
+                        self._n_links_used -= 1
+                    dirty.add(l)
         return results
 
     def run_until_idle(self, max_steps: int | None = None) -> float:
@@ -803,5 +883,6 @@ class IncFluidSimulator:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"IncFluidSimulator({self.num_links} links, "
-            f"{self._n_active} active, t={self.now:g})"
+            f"{self._n_active} active, t={self.now:g}, "
+            f"incremental={self.incremental})"
         )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.sim import FluidSimulator, VecFluidSimulator
+from repro.sim import FluidSimulator, IncFluidSimulator
 from repro.sim.engines import (
     DEFAULT_ENGINE,
     ENGINES,
@@ -31,7 +31,7 @@ class TestRegistry:
 
     def test_resolve(self):
         assert resolve_engine("fluid").factory is FluidSimulator
-        assert resolve_engine("fluid-vec").factory is VecFluidSimulator
+        assert resolve_engine("fluid-vec").kind == "fluid"
         assert resolve_engine("replay").kind == "replay"
         # resolving a live Engine is the identity
         engine = resolve_engine("fluid")
@@ -42,8 +42,11 @@ class TestRegistry:
             resolve_engine("telepathy")  # repro: noqa[REP010] deliberately unknown: error-path test
 
     def test_make_fluid_simulator(self):
+        # one vectorized engine class; the registered name fixes its mode
         sim = make_fluid_simulator("fluid-vec", 4, 1.0)
-        assert isinstance(sim, VecFluidSimulator)
+        assert isinstance(sim, IncFluidSimulator) and not sim.incremental
+        sim = make_fluid_simulator("fluid-vec-inc", 4, 1.0)
+        assert isinstance(sim, IncFluidSimulator) and sim.incremental
         sim = make_fluid_simulator("fluid", 4, 1.0)
         assert isinstance(sim, FluidSimulator)
         with pytest.raises(ValueError, match="not a fluid backend"):
@@ -56,7 +59,7 @@ class TestRegistry:
             Engine(name="x", kind="fluid")
 
     def test_third_party_registration(self):
-        class TracingSim(VecFluidSimulator):
+        class TracingSim(IncFluidSimulator):
             pass
 
         engine = Engine(name="fluid-traced", kind="fluid", factory=TracingSim)

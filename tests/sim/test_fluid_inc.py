@@ -22,9 +22,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import FluidSimulator, IncFluidSimulator, VecFluidSimulator
+from repro.sim import FluidSimulator, IncFluidSimulator, make_fluid_simulator
 
 REL = 1e-9
+
+
+def fluid_vec(num_links, capacity):
+    """A fresh ``fluid-vec`` (full-refill) simulator, the reference here."""
+    return make_fluid_simulator("fluid-vec", num_links, capacity)
 
 
 def _random_instance(seed: int, num_links: int, num_flows: int, zero_frac: float = 0.1):
@@ -187,7 +192,7 @@ class TestDropInParity:
         """One refill per epoch, exactly like the from-scratch engines —
         incrementality changes the work per refill, not the schedule."""
         caps, arrivals = _random_stream(5, 4, 25, zero_frac=0.0)
-        a, b = VecFluidSimulator(4, caps), IncFluidSimulator(4, caps)
+        a, b = fluid_vec(4, caps), IncFluidSimulator(4, caps)
         _drive(a, arrivals)
         _drive(b, arrivals)
         assert b.recomputes <= a.recomputes
@@ -199,7 +204,7 @@ class TestAdversarial:
     def test_simultaneous_completions(self):
         """A whole rate class draining at one instant must leave the
         frozen levels of the surviving flows exact."""
-        for cls in (VecFluidSimulator, IncFluidSimulator):
+        for cls in (fluid_vec, IncFluidSimulator):
             sim = cls(3, 1.0)
             # four equal flows on link 0 complete together; flow 9 on
             # links 1+2 keeps running through the event
@@ -215,7 +220,7 @@ class TestAdversarial:
 
     def test_zero_size_flows_in_epochs(self):
         caps, arrivals = _random_stream(17, 5, 30, zero_frac=0.5, quantum=0.5)
-        a, b = VecFluidSimulator(5, caps), IncFluidSimulator(5, caps)
+        a, b = fluid_vec(5, caps), IncFluidSimulator(5, caps)
         _drive(a, arrivals)
         _drive(b, arrivals)
         _assert_same_results(a, b)
@@ -228,7 +233,7 @@ class TestAdversarial:
         back, never freeze a stale level."""
         n = 8
         caps = np.linspace(1.0, 0.3, n)  # strictly decreasing: a chain
-        a, b = VecFluidSimulator(n, caps), IncFluidSimulator(n, caps)
+        a, b = fluid_vec(n, caps), IncFluidSimulator(n, caps)
         arrivals = []
         t = 0.0
         for i in range(n - 1):
@@ -280,7 +285,7 @@ class TestPropertyEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_dynamic_fct_multiset_matches_vec(self, num_links, num_flows, seed):
         caps, arrivals = _random_stream(seed, num_links, num_flows)
-        a = VecFluidSimulator(num_links, caps)
+        a = fluid_vec(num_links, caps)
         b = IncFluidSimulator(num_links, caps)
         _drive(a, arrivals)
         _drive(b, arrivals)
@@ -297,7 +302,7 @@ class TestPropertyEquivalence:
         """Quantized arrival instants force multi-flow epochs and
         completion/arrival collisions at one timestamp."""
         caps, arrivals = _random_stream(seed, num_links, num_flows, quantum=quantum)
-        a = VecFluidSimulator(num_links, caps)
+        a = fluid_vec(num_links, caps)
         b = IncFluidSimulator(num_links, caps)
         _drive(a, arrivals)
         _drive(b, arrivals)
@@ -338,6 +343,33 @@ class TestPropertyEquivalence:
         assert tel["flows_touched"] <= tel["flows_active"]
         assert tel["mutation_events"] >= tel["recomputes"]
         assert tel["component_size_hwm"] <= sim.num_links
+
+
+class TestFullRefillMode:
+    """``fluid-vec`` is the same engine with partial refills switched
+    off: the independent reference the incremental mode is held to."""
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_dynamic_stream_refills_fully_and_matches_scalar(self, seed):
+        caps, arrivals = _random_stream(seed, 5, 25)
+        a, b = FluidSimulator(5, caps), fluid_vec(5, caps)
+
+        def _forbidden(*args):
+            raise AssertionError("fluid-vec ran partial-refill code")
+
+        # the reference must never run closure or certificate code
+        b._closure = b._try_partial = _forbidden
+        _drive(a, arrivals)
+        _drive(b, arrivals)
+        _assert_same_results(a, b)
+        assert b.recomputes > 0
+        assert b.partial_refills == 0
+        assert b.full_refills == b.recomputes
+        assert set(b.telemetry()) == {
+            "recomputes", "fill_rounds", "frozen_links", "compactions",
+            "active_flows_hwm",
+        }
 
 
 class TestDriverEquivalence:

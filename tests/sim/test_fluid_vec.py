@@ -1,7 +1,8 @@
-"""The vectorized fluid engine: drop-in parity with the scalar engine.
+"""The ``fluid-vec`` engine: drop-in parity with the scalar engine.
 
-The max-min fair allocation is unique, so ``VecFluidSimulator`` must
-reproduce ``FluidSimulator`` bit-for-bit up to floating-point noise —
+``fluid-vec`` is the vectorized engine in full-refill mode (resolved by
+its registry name here).  The max-min fair allocation is unique, so it
+must reproduce ``FluidSimulator`` bit-for-bit up to floating-point noise —
 rates, completion times, completion order, error behaviour, and the
 zero-size / idle-clock edge cases.  The hypothesis suites generate
 random instances (links, capacities, flows, sizes — including zero
@@ -16,9 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import FluidSimulator, VecFluidSimulator
+from repro.sim import FluidSimulator, make_fluid_simulator
 
 REL = 1e-9
+
+
+def fluid_vec(num_links, capacity):
+    """A fresh ``fluid-vec`` simulator, resolved through the registry."""
+    return make_fluid_simulator("fluid-vec", num_links, capacity)
 
 
 def _random_instance(seed: int, num_links: int, num_flows: int, zero_frac: float = 0.1):
@@ -34,7 +40,7 @@ def _random_instance(seed: int, num_links: int, num_flows: int, zero_frac: float
     return caps, flows
 
 
-def _assert_same_results(a: FluidSimulator, b: VecFluidSimulator):
+def _assert_same_results(a, b):
     fa = {r.flow_id: r for r in a.results}
     fb = {r.flow_id: r for r in b.results}
     assert set(fa) == set(fb)
@@ -47,7 +53,7 @@ def _assert_same_results(a: FluidSimulator, b: VecFluidSimulator):
 
 class TestDropInParity:
     def test_validation_parity(self):
-        for cls in (FluidSimulator, VecFluidSimulator):
+        for cls in (FluidSimulator, fluid_vec):
             with pytest.raises(ValueError):
                 cls(0, 1.0)
             with pytest.raises(ValueError):
@@ -66,7 +72,7 @@ class TestDropInParity:
                 sim.add_flow(0, [1], 1.0)  # duplicate id
 
     def test_zero_size_and_idle_clock(self):
-        for cls in (FluidSimulator, VecFluidSimulator):
+        for cls in (FluidSimulator, fluid_vec):
             sim = cls(2, 1.0)
             assert sim.advance_to(3.0) == []
             assert sim.now == pytest.approx(3.0)
@@ -77,7 +83,7 @@ class TestDropInParity:
             assert sim.active_flows == 0
 
     def test_advance_guards(self):
-        sim = VecFluidSimulator(1, 10.0)
+        sim = fluid_vec(1, 10.0)
         sim.add_flow(0, [0], 10.0)
         with pytest.raises(ValueError, match="skip a completion"):
             sim.advance_to(100.0)
@@ -90,7 +96,7 @@ class TestDropInParity:
         must stamp finished flows at the true completion instant nc,
         not the overshot target — dense arrival streams advance in
         sub-eps hops, and the skew biased every recorded FCT."""
-        for cls in (FluidSimulator, VecFluidSimulator):
+        for cls in (FluidSimulator, fluid_vec):
             sim = cls(2, 1.0)
             sim.add_flow(0, [0], 1.0)  # nc = 1.0
             sim.add_flow(1, [1], 5.0)  # still running past the window
@@ -106,10 +112,10 @@ class TestDropInParity:
     def test_batch_equals_sequential(self):
         """add_flows (COO batch) and add_flow agree exactly."""
         caps, flows = _random_instance(3, 5, 20)
-        seq = VecFluidSimulator(5, caps)
+        seq = fluid_vec(5, caps)
         for fid, links, size in flows:
             seq.add_flow(fid, links, size)
-        batch = VecFluidSimulator(5, caps)
+        batch = fluid_vec(5, caps)
         ids = [f for f, _, _ in flows]
         sizes = [s for _, _, s in flows]
         coo_flow = np.concatenate(
@@ -123,29 +129,52 @@ class TestDropInParity:
         assert seq.now == pytest.approx(batch.now, rel=REL)
 
     def test_batch_validation(self):
-        sim = VecFluidSimulator(2, 1.0)
-        with pytest.raises(ValueError, match="parallel"):
-            sim.add_flows([0, 1], [1.0], np.asarray([0]), np.asarray([0]))
-        with pytest.raises(ValueError, match="duplicate"):
-            sim.add_flows([0, 0], [1.0, 1.0], np.asarray([0, 1]), np.asarray([0, 0]))
-        with pytest.raises(ValueError, match="at least one link"):
-            sim.add_flows([0, 1], [1.0, 1.0], np.asarray([0, 0]), np.asarray([0, 1]))
-        with pytest.raises(ValueError, match="out of range"):
-            sim.add_flows([0], [1.0], np.asarray([0]), np.asarray([9]))
-        with pytest.raises(ValueError, match="outside the batch"):
-            sim.add_flows([0], [1.0], np.asarray([1]), np.asarray([0]))
-        sim.add_flows([], [], np.asarray([]), np.asarray([]))  # empty batch is a no-op
-        assert sim.active_flows == 0
+        """One batch contract, enforced identically by every engine."""
+        for cls in (FluidSimulator, fluid_vec):
+            sim = cls(2, 1.0)
+            with pytest.raises(ValueError, match="parallel"):
+                sim.add_flows([0, 1], [1.0], np.asarray([0]), np.asarray([0]))
+            with pytest.raises(ValueError, match="duplicate"):
+                sim.add_flows([0, 0], [1.0, 1.0], np.asarray([0, 1]), np.asarray([0, 0]))
+            with pytest.raises(ValueError, match="at least one link"):
+                sim.add_flows([0, 1], [1.0, 1.0], np.asarray([0, 0]), np.asarray([0, 1]))
+            with pytest.raises(ValueError, match="out of range"):
+                sim.add_flows([0], [1.0], np.asarray([0]), np.asarray([9]))
+            with pytest.raises(ValueError, match="outside the batch"):
+                sim.add_flows([0], [1.0], np.asarray([1]), np.asarray([0]))
+            sim.add_flows([], [], np.asarray([]), np.asarray([]))  # empty batch is a no-op
+            assert sim.active_flows == 0
+
+    def test_short_sizes_rejected_by_every_engine(self):
+        """Regression: the scalar batch path zipped ids with sizes, so 3
+        ids with 2 sizes silently dropped the third flow."""
+        for cls in (FluidSimulator, fluid_vec):
+            sim = cls(2, 1.0)
+            with pytest.raises(ValueError, match="parallel"):
+                sim.add_flows(
+                    [0, 1, 2], [1.0, 1.0], np.asarray([0, 1, 2]), np.asarray([0, 1, 1])
+                )
+            assert sim.active_flows == 0 and sim.results == []
+
+    def test_repeated_zero_size_id_rejected_by_every_engine(self):
+        """Regression: the scalar batch path accepted a flow id twice in
+        one batch when its first copy had size zero (it completed
+        before the second copy was checked)."""
+        for cls in (FluidSimulator, fluid_vec):
+            sim = cls(2, 1.0)
+            with pytest.raises(ValueError, match="duplicate"):
+                sim.add_flows([4, 4], [0.0, 1.0], np.asarray([0, 1]), np.asarray([0, 1]))
+            assert sim.active_flows == 0 and sim.results == []
 
     def test_duplicate_links_collapse_identically(self):
         """A repeated link in a flow's path must not double-count the
         flow against that link's capacity — in either engine."""
-        for cls in (FluidSimulator, VecFluidSimulator):
+        for cls in (FluidSimulator, fluid_vec):
             sim = cls(2, 1.0)
             sim.add_flow(0, [0, 0, 1], 2.0)
             assert sim.rates()[0] == pytest.approx(1.0), cls.__name__
         # and through the batch COO path
-        batch = VecFluidSimulator(2, 1.0)
+        batch = fluid_vec(2, 1.0)
         batch.add_flows(
             [0], [2.0], np.asarray([0, 0, 0]), np.asarray([0, 0, 1])
         )
@@ -154,7 +183,7 @@ class TestDropInParity:
     def test_scalar_batch_rejects_out_of_batch_indexes(self):
         """The scalar add_flows mirrors the vec engine's validation
         instead of letting negative indexes wrap around."""
-        for cls in (FluidSimulator, VecFluidSimulator):
+        for cls in (FluidSimulator, fluid_vec):
             sim = cls(2, 1.0)
             with pytest.raises(ValueError, match="outside the batch"):
                 sim.add_flows(
@@ -167,7 +196,7 @@ class TestDropInParity:
     def test_recompute_counter_matches(self):
         """Both engines recompute on the same schedule (events, not flows)."""
         caps, flows = _random_instance(11, 4, 15, zero_frac=0.0)
-        a, b = FluidSimulator(4, caps), VecFluidSimulator(4, caps)
+        a, b = FluidSimulator(4, caps), fluid_vec(4, caps)
         for fid, links, size in flows:
             a.add_flow(fid, links, size)
             b.add_flow(fid, links, size)
@@ -185,7 +214,7 @@ class TestPropertyEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_rates_match_scalar(self, num_links, num_flows, seed):
         caps, flows = _random_instance(seed, num_links, num_flows)
-        a, b = FluidSimulator(num_links, caps), VecFluidSimulator(num_links, caps)
+        a, b = FluidSimulator(num_links, caps), fluid_vec(num_links, caps)
         for fid, links, size in flows:
             a.add_flow(fid, links, size)
             b.add_flow(fid, links, size)
@@ -202,7 +231,7 @@ class TestPropertyEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_completion_times_match_scalar(self, num_links, num_flows, seed):
         caps, flows = _random_instance(seed, num_links, num_flows)
-        a, b = FluidSimulator(num_links, caps), VecFluidSimulator(num_links, caps)
+        a, b = FluidSimulator(num_links, caps), fluid_vec(num_links, caps)
         for fid, links, size in flows:
             a.add_flow(fid, links, size)
             b.add_flow(fid, links, size)
@@ -219,7 +248,7 @@ class TestPropertyEquivalence:
         """Flows injected mid-run (between completions) stay equivalent."""
         rng = np.random.default_rng(seed)
         caps = rng.uniform(0.5, 2.0, num_links)
-        a, b = FluidSimulator(num_links, caps), VecFluidSimulator(num_links, caps)
+        a, b = FluidSimulator(num_links, caps), fluid_vec(num_links, caps)
         fid = 0
         for _wave in range(3):
             for _ in range(int(rng.integers(1, 5))):
@@ -249,7 +278,7 @@ class TestPropertyEquivalence:
         link on its own path — the max-min optimality signature — in
         both engines."""
         caps, flows = _random_instance(seed, num_links, num_flows, zero_frac=0.0)
-        for cls in (FluidSimulator, VecFluidSimulator):
+        for cls in (FluidSimulator, fluid_vec):
             sim = cls(num_links, caps)
             per_flow_links = {}
             for fid, links, size in flows:
@@ -267,3 +296,4 @@ class TestPropertyEquivalence:
                     loads[l] >= caps[l] * (1 - 1e-6) - 1e-6
                     for l in per_flow_links[fid]
                 ), f"flow {fid} not bottlenecked ({cls.__name__})"
+

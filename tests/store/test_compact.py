@@ -193,10 +193,8 @@ class TestRouteTableTypedAPI:
         )
         assert table.nbytes == expected
 
-    def test_dict_style_access_warns_but_works(self, small_tree):
+    def test_columns_are_attributes_not_keys(self, small_tree):
         table = make_algorithm("d-mod-k", small_tree).all_pairs_table()
-        with pytest.warns(DeprecationWarning, match="dict-style"):
-            ports = table["ports"]
-        assert ports is table.ports
-        with pytest.raises(KeyError):
-            table["nope"]
+        assert table.ports.shape == (len(table), small_tree.h)
+        with pytest.raises(TypeError):
+            table["ports"]

@@ -345,21 +345,16 @@ class TestThirdPartyRegistration:
 
 
 # ----------------------------------------------------------------------
-# Deprecated pre-registry entry points
+# The pre-registry entry points are gone; the registry paths stay quiet
 # ----------------------------------------------------------------------
 class TestDeprecatedShims:
-    def test_parse_algorithm_spec_warns_and_delegates(self):
-        from repro.experiments.sweep import parse_algorithm_spec
+    def test_removed_shims_are_gone(self):
+        from repro.core import factory
+        from repro.experiments import sweep
 
-        with pytest.warns(DeprecationWarning, match="parse_spec"):
-            assert parse_algorithm_spec("r-nca-d(k=8)") == ("r-nca-d", {"k": 8})
-
-    def test_resolve_pattern_warns_and_delegates(self):
-        from repro.experiments.sweep import resolve_pattern as deprecated_resolve
-
-        with pytest.warns(DeprecationWarning, match="repro.patterns.registry"):
-            pattern = deprecated_resolve("shift-1", 16)
-        assert pattern.pairs() == resolve_pattern("shift-1", 16).pairs()
+        assert not hasattr(sweep, "parse_algorithm_spec")
+        assert "resolve_pattern" not in sweep.__all__
+        assert not hasattr(factory, "_BUILDERS")
 
     def test_registry_paths_do_not_warn(self):
         with warnings.catch_warnings():

@@ -322,8 +322,7 @@ class TestDriverStats:
         The stats must carry None, end to end through to_dict()."""
         import json
 
-        from repro.sim import VecFluidSimulator
-        from repro.sim.engines import Engine, register_engine
+        from repro.sim.engines import Engine, make_fluid_simulator, register_engine
 
         class _Opaque:
             # delegate the simulator surface but hide the telemetry
@@ -339,7 +338,7 @@ class TestDriverStats:
             Engine(
                 name="fluid-opaque-test",
                 kind="fluid",
-                factory=lambda n, c: _Opaque(VecFluidSimulator(n, c)),
+                factory=lambda n, c: _Opaque(make_fluid_simulator("fluid-vec", n, c)),
             ),
             override=True,
         )
